@@ -23,6 +23,15 @@ bool has_any_lambda(const ExprPtr& e) {
   return sym::contains_kind(e, sym::ExprKind::IterStart);
 }
 
+// The add-rec of `e` over the loop index anchored at 0, e == base + stride*i,
+// when the stride folds to an integer (stride is then a Const node); null when
+// `e` is not affine in the index, depends on a λ, or has a symbolic stride.
+const sym::RecChain* const_chain(const ExprPtr& e, sym::SymbolId index) {
+  const sym::RecChain* chain =
+      sym::ExprArena::current().recurrences().chain_for(e, index, sym::make_const(0));
+  return chain && sym::is_const(chain->stride) ? chain : nullptr;
+}
+
 // Closed-form Σ_{i=lb}^{ub-1} (p*i + q) = p * (lb + ub - 1) * n / 2 + q * n.
 ExprPtr affine_sum(int64_t p, const ExprPtr& q, const ExprPtr& lb, const ExprPtr& ub,
                    const ExprPtr& n) {
@@ -117,13 +126,12 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
           if (lam_coeff != 1) return nullptr;
           ExprPtr delta = sym::sub(bound, sym::make_iter_start(lam));
           (lower ? delta_lo_expr : delta_hi_expr) = delta;
-          auto split = sym::split_affine_in(delta, index_sym);
-          if (!split || has_any_lambda(delta)) return nullptr;
-          if (split->coeff != 0 && (!options_.enable_lambda_sum_rule || !trip_nonneg)) {
-            return nullptr;
-          }
-          ExprPtr total = split->coeff == 0 ? sym::mul(n_use, split->rest)
-                                            : affine_sum(split->coeff, split->rest, lb, ub, n);
+          const sym::RecChain* chain = const_chain(delta, index_sym);
+          if (!chain) return nullptr;
+          const int64_t p = chain->stride->value;
+          if (p != 0 && (!options_.enable_lambda_sum_rule || !trip_nonneg)) return nullptr;
+          ExprPtr total =
+              p == 0 ? sym::mul(n_use, chain->base) : affine_sum(p, chain->base, lb, ub, n);
           ExprPtr base = lower ? entry.lo() : entry.hi();
           if (!base) return nullptr;
           return sym::add(base, total);
@@ -217,9 +225,8 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       LoopEffect::ProducedFact fact;
       fact.array = array_sym;
       if (w.value.is_exact()) {
-        if (auto split = sym::split_affine_in(w.value.exact_value(), index_sym);
-            split && !has_any_lambda(w.value.exact_value())) {
-          int64_t p = split->coeff;
+        if (const sym::RecChain* chain = const_chain(w.value.exact_value(), index_sym)) {
+          const int64_t p = chain->stride->value;
           fact.step = StepFact{sym::add(sec_lo, sym::make_const(1)), sec_hi,
                                Range::of_consts(p, p)};
           if (p != 0) fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt};
@@ -231,19 +238,19 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       continue;
     }
 
-    auto aff_idx = sym::split_affine_in(w.index, index_sym);
-    bool idx_clean = aff_idx && aff_idx->rest && !has_any_lambda(aff_idx->rest) &&
-                     !sym::contains_kind(aff_idx->rest, sym::ExprKind::ArrayElem);
-    if (!aff_idx || !idx_clean || aff_idx->coeff == 0) {
+    const sym::RecChain* idx_chain = const_chain(w.index, index_sym);
+    const bool idx_clean =
+        idx_chain && !sym::contains_kind(idx_chain->base, sym::ExprKind::ArrayElem);
+    if (!idx_clean || idx_chain->stride->value == 0) {
       // Subscripted-subscript write a[b[i+m]] = i: inverse permutation rule.
       if (options_.enable_inverse_perm_rule && !w.conditional && trip_pos &&
           w.index->kind == sym::ExprKind::ArrayElem) {
         const sym::SymbolId b_sym = w.index->symbol;
-        auto b_aff = sym::split_affine_in(w.index->operands[0], index_sym);
-        if (b_aff && b_aff->coeff == 1 && w.value.is_exact() &&
+        const sym::RecChain* b_chain = const_chain(w.index->operands[0], index_sym);
+        if (b_chain && b_chain->stride->value == 1 && w.value.is_exact() &&
             sym::equal(w.value.exact_value(), sym::make_sym(index_sym))) {
-          ExprPtr read_lo = sym::add(lb, b_aff->rest);
-          ExprPtr read_hi = sym::add(sym::sub(ub, sym::make_const(1)), b_aff->rest);
+          ExprPtr read_lo = sym::add(lb, b_chain->base);
+          ExprPtr read_hi = sym::add(sym::sub(ub, sym::make_const(1)), b_chain->base);
           if (masked_facts.injective_over(b_sym, read_lo, read_hi, ctx_i)) {
             if (auto b_vals = masked_facts.elem_value(b_sym, w.index->operands[0], ctx_i)) {
               Range section = widen(*b_vals);
@@ -264,7 +271,7 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
         }
       }
       // Loop-invariant subscript a[k] = v every iteration.
-      if (aff_idx && aff_idx->coeff == 0 && idx_clean && !w.conditional && trip_pos) {
+      if (idx_clean && !w.conditional && trip_pos) {
         Range vals = widen(w.value);
         if (!vals.is_bottom()) {
           LoopEffect::ProducedFact fact;
@@ -276,8 +283,8 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       continue;
     }
 
-    const int64_t c = aff_idx->coeff;
-    const ExprPtr k = aff_idx->rest;
+    const int64_t c = idx_chain->stride->value;
+    const ExprPtr k = idx_chain->base;
     ExprPtr pos_at_lb = sym::add(sym::mul_const(lb, c), k);
     ExprPtr pos_at_last = sym::add(sym::mul_const(sym::sub(ub, sym::make_const(1)), c), k);
     ExprPtr sec_lo = c > 0 ? pos_at_lb : pos_at_last;
@@ -323,51 +330,41 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       }
     }
 
-    // Affine value: a[s] = p*i + rest (rest loop-invariant).
-    if (!matched && options_.enable_affine_value_rule && !w.conditional && trip_nonneg &&
-        w.value.is_exact()) {
-      const ExprPtr v = w.value.exact_value();
-      auto split = sym::split_affine_in(v, index_sym);
-      if (split && !has_any_lambda(v) &&
-          !sym::contains_kind(split->rest, sym::ExprKind::ArrayElem)) {
-        Range vals = widen(w.value);
-        if (!vals.is_bottom()) fact.value = ValueFact{sec_lo, sec_hi, vals};
-        if (split->coeff != 0) {
-          int64_t step = split->coeff * c;  // value step per +1 position
-          fact.step = StepFact{sym::add(sec_lo, sym::make_const(1)), sec_hi,
-                               Range::of_consts(step, step)};
-          fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt};
+    // Affine value: a[s] = v where v's recurrence chain over i is
+    // {base, +, stride}. A constant stride with a loop-invariant base gives
+    // the value, step and injectivity facts (affine-value rule). A symbolic
+    // stride, e.g. idx[i] = m*i + q with m >= 1, proves injectivity through
+    // the prover when its sign is provably nonzero (chain-injectivity rule).
+    if (!matched && !w.conditional && trip_nonneg && w.value.is_exact()) {
+      const sym::RecChain* chain = sym::ExprArena::current().recurrences().chain_for(
+          w.value.exact_value(), index_sym, sym::make_const(0));
+      if (chain && sym::is_const(chain->stride)) {
+        if (options_.enable_affine_value_rule &&
+            !sym::contains_kind(chain->base, sym::ExprKind::ArrayElem)) {
+          Range vals = widen(w.value);
+          if (!vals.is_bottom()) fact.value = ValueFact{sec_lo, sec_hi, vals};
+          if (chain->stride->value != 0) {
+            int64_t step = chain->stride->value * c;  // value step per +1 position
+            fact.step = StepFact{sym::add(sec_lo, sym::make_const(1)), sec_hi,
+                                 Range::of_consts(step, step)};
+            fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt};
+          }
+          matched = true;
         }
-        matched = true;
-      }
-    }
-
-    // Chain injectivity: a[s] = v where the recurrence chain of v over i has
-    // a provably nonzero *symbolic* stride, e.g. idx[i] = m*i + q with
-    // m >= 1. The affine-value rule above cannot see this (split_affine_in
-    // only yields integer coefficients); the chain layer carries the stride
-    // as an expression and discharges its sign through the prover.
-    if (!matched && options_.enable_chain_injectivity_rule && !w.conditional && trip_nonneg &&
-        w.value.is_exact()) {
-      const ExprPtr v = w.value.exact_value();
-      sym::RecurrenceBuilder& rec = sym::ExprArena::current().recurrences();
-      const sym::RecChain* chain = rec.chain_for(v, index_sym, lb);
-      if (chain && !sym::is_const(chain->stride) &&
-          !sym::contains_kind(chain->stride, sym::ExprKind::ArrayElem)) {
+      } else if (chain && options_.enable_chain_injectivity_rule &&
+                 !sym::contains_kind(chain->stride, sym::ExprKind::ArrayElem)) {
         // Value step per +1 array position (subscript advances by c per
         // iteration, c is ±1 here).
         ExprPtr pos_step = sym::mul_const(chain->stride, c);
         bool inc = prove_ge(pos_step, sym::make_const(1), ctx_i) == Truth::True;
-        bool dec =
-            !inc && prove_le(pos_step, sym::make_const(-1), ctx_i) == Truth::True;
+        bool dec = !inc && prove_le(pos_step, sym::make_const(-1), ctx_i) == Truth::True;
         if (inc || dec) {
           Range vals = widen(w.value);
           if (!vals.is_bottom()) fact.value = ValueFact{sec_lo, sec_hi, vals};
           // Injectivity is the chain's claim; deliberately no Monotonic step
           // fact here — ordering proofs stay with the paper's per-element
           // catalogue, so verdicts credit the layer that actually proved them.
-          fact.injective =
-              InjectiveFact{sec_lo, sec_hi, std::nullopt, /*from_chain=*/true};
+          fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt, /*from_chain=*/true};
           matched = true;
         }
       }
@@ -377,10 +374,10 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
     if (!matched && options_.enable_copy_rule && !w.conditional && trip_nonneg &&
         w.value.is_exact() && w.value.exact_value()->kind == sym::ExprKind::ArrayElem) {
       const ExprPtr v = w.value.exact_value();
-      auto src_aff = sym::split_affine_in(v->operands[0], index_sym);
-      if (src_aff && src_aff->coeff == 1) {
-        ExprPtr src_lo = sym::add(lb, src_aff->rest);
-        ExprPtr src_hi = sym::add(sym::sub(ub, sym::make_const(1)), src_aff->rest);
+      const sym::RecChain* src_chain = const_chain(v->operands[0], index_sym);
+      if (src_chain && src_chain->stride->value == 1) {
+        ExprPtr src_lo = sym::add(lb, src_chain->base);
+        ExprPtr src_hi = sym::add(sym::sub(ub, sym::make_const(1)), src_chain->base);
         if (auto src_vals = masked_facts.elem_value(v->symbol, v->operands[0], ctx_i)) {
           Range vals = widen(*src_vals);
           if (!vals.is_bottom()) {
@@ -419,30 +416,28 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
   // --- Branch-pair rules (subset-injective and disjoint-strided) -------------
   if (options_.enable_branch_rules && trip_nonneg) {
     for (const auto& pair : body.branch_pairs) {
-      auto aff_idx = sym::split_affine_in(pair.index, index_sym);
-      if (!aff_idx || (aff_idx->coeff != 1 && aff_idx->coeff != -1)) continue;
-      if (has_any_lambda(aff_idx->rest) ||
-          sym::contains_kind(aff_idx->rest, sym::ExprKind::ArrayElem)) {
-        continue;
-      }
-      const int64_t c = aff_idx->coeff;
-      ExprPtr pos_at_lb = sym::add(sym::mul_const(lb, c), aff_idx->rest);
+      const sym::RecChain* idx = const_chain(pair.index, index_sym);
+      if (!idx || (idx->stride->value != 1 && idx->stride->value != -1)) continue;
+      if (sym::contains_kind(idx->base, sym::ExprKind::ArrayElem)) continue;
+      const int64_t c = idx->stride->value;
+      ExprPtr pos_at_lb = sym::add(sym::mul_const(lb, c), idx->base);
       ExprPtr pos_at_last =
-          sym::add(sym::mul_const(sym::sub(ub, sym::make_const(1)), c), aff_idx->rest);
+          sym::add(sym::mul_const(sym::sub(ub, sym::make_const(1)), c), idx->base);
       ExprPtr sec_lo = c > 0 ? pos_at_lb : pos_at_last;
       ExprPtr sec_hi = c > 0 ? pos_at_last : pos_at_lb;
       if (!pair.then_value || !pair.else_value) continue;
-      auto v1 = sym::split_affine_in(pair.then_value, index_sym);
-      auto v2 = sym::split_affine_in(pair.else_value, index_sym);
-      if (!v1 || !v2 || has_any_lambda(pair.then_value) || has_any_lambda(pair.else_value)) {
-        continue;
-      }
-      auto try_subset = [&](const sym::AffineSplit& moving, const sym::AffineSplit& fixed,
+      const sym::RecChain* v1 = const_chain(pair.then_value, index_sym);
+      const sym::RecChain* v2 = const_chain(pair.else_value, index_sym);
+      if (!v1 || !v2) continue;
+      auto try_subset = [&](const sym::RecChain& moving, const sym::RecChain& fixed,
                             const ExprPtr& moving_expr) -> bool {
         // Subset-injective: moving branch strictly monotone with values >= 0,
         // fixed branch a negative constant sentinel.
-        auto sentinel = sym::const_value(fixed.rest);
-        if (moving.coeff == 0 || fixed.coeff != 0 || !sentinel || *sentinel >= 0) return false;
+        auto sentinel = sym::const_value(fixed.base);
+        if (moving.stride->value == 0 || fixed.stride->value != 0 || !sentinel ||
+            *sentinel >= 0) {
+          return false;
+        }
         Range values = eval_range(moving_expr, loop_env);
         if (prove_nonneg(values, base_ctx_) != Truth::True) return false;
         LoopEffect::ProducedFact fact;
@@ -456,9 +451,10 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       }
       // Disjoint strided expressions (paper Fig. 8): same slope p, offsets in
       // different residue classes mod p -> the two value sets never collide.
-      if (v1->coeff == v2->coeff && v1->coeff != 0) {
-        auto offset_diff = sym::const_value(sym::sub(v1->rest, v2->rest));
-        if (offset_diff && (*offset_diff % v1->coeff) != 0) {
+      const int64_t p = v1->stride->value;
+      if (p == v2->stride->value && p != 0) {
+        auto offset_diff = sym::const_value(sym::sub(v1->base, v2->base));
+        if (offset_diff && (*offset_diff % p) != 0) {
           LoopEffect::ProducedFact fact;
           fact.array = pair.array->symbol;
           fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt};

@@ -16,6 +16,48 @@ using sym::ExprPtr;
 using sym::Range;
 
 // ---------------------------------------------------------------------------
+// Operator range arithmetic
+// ---------------------------------------------------------------------------
+
+Range range_binary(ast::BinaryOp op, const Range& lhs, const Range& rhs) {
+  switch (op) {
+    case ast::BinaryOp::Add:
+      return range_add(lhs, rhs);
+    case ast::BinaryOp::Sub:
+      return range_sub(lhs, rhs);
+    case ast::BinaryOp::Mul:
+      if (lhs.is_exact() && rhs.is_exact()) {
+        return Range::exact(sym::mul(lhs.exact_value(), rhs.exact_value()));
+      }
+      if (rhs.is_exact()) {
+        if (auto c = sym::const_value(rhs.exact_value())) return range_mul_const(lhs, *c);
+      }
+      if (lhs.is_exact()) {
+        if (auto c = sym::const_value(lhs.exact_value())) return range_mul_const(rhs, *c);
+      }
+      return Range::bottom();
+    case ast::BinaryOp::Div:
+      if (lhs.is_exact() && rhs.is_exact()) {
+        return Range::exact(sym::div_floor(lhs.exact_value(), rhs.exact_value()));
+      }
+      return Range::bottom();
+    case ast::BinaryOp::Rem:
+      if (lhs.is_exact() && rhs.is_exact()) {
+        return Range::exact(sym::mod(lhs.exact_value(), rhs.exact_value()));
+      }
+      return Range::bottom();
+    default:
+      // Comparison / logical operators yield a flag.
+      return Range::of_consts(0, 1);
+  }
+}
+
+Range range_unary(ast::UnaryOp op, const Range& operand) {
+  if (op == ast::UnaryOp::Neg) return range_negate(operand);
+  return Range::of_consts(0, 1);
+}
+
+// ---------------------------------------------------------------------------
 // eval_pure
 // ---------------------------------------------------------------------------
 
@@ -50,43 +92,11 @@ Range eval_pure(const ast::Expr& expr, const ScalarEnv& env,
     case ast::ExprNodeKind::Binary: {
       const auto* b = expr.as<ast::Binary>();
       Range lhs = eval_pure(*b->lhs, env, lambda_vars);
-      Range rhs = eval_pure(*b->rhs, env, lambda_vars);
-      switch (b->op) {
-        case ast::BinaryOp::Add:
-          return range_add(lhs, rhs);
-        case ast::BinaryOp::Sub:
-          return range_sub(lhs, rhs);
-        case ast::BinaryOp::Mul:
-          if (lhs.is_exact() && rhs.is_exact()) {
-            return Range::exact(sym::mul(lhs.exact_value(), rhs.exact_value()));
-          }
-          if (rhs.is_exact()) {
-            if (auto c = sym::const_value(rhs.exact_value())) return range_mul_const(lhs, *c);
-          }
-          if (lhs.is_exact()) {
-            if (auto c = sym::const_value(lhs.exact_value())) return range_mul_const(rhs, *c);
-          }
-          return Range::bottom();
-        case ast::BinaryOp::Div:
-          if (lhs.is_exact() && rhs.is_exact()) {
-            return Range::exact(sym::div_floor(lhs.exact_value(), rhs.exact_value()));
-          }
-          return Range::bottom();
-        case ast::BinaryOp::Rem:
-          if (lhs.is_exact() && rhs.is_exact()) {
-            return Range::exact(sym::mod(lhs.exact_value(), rhs.exact_value()));
-          }
-          return Range::bottom();
-        default:
-          return Range::of_consts(0, 1);
-      }
+      return range_binary(b->op, lhs, eval_pure(*b->rhs, env, lambda_vars));
     }
     case ast::ExprNodeKind::Unary: {
       const auto* u = expr.as<ast::Unary>();
-      if (u->op == ast::UnaryOp::Neg) {
-        return range_negate(eval_pure(*u->operand, env, lambda_vars));
-      }
-      return Range::of_consts(0, 1);
+      return range_unary(u->op, eval_pure(*u->operand, env, lambda_vars));
     }
     case ast::ExprNodeKind::Conditional: {
       const auto* c = expr.as<ast::Conditional>();

@@ -334,6 +334,11 @@ class Analyzer {
   std::map<sym::SymbolId, std::set<std::string>> fact_provenance_;
 };
 
+// Range of `lhs op rhs` / `op operand` given the operands' ranges. Shared by
+// eval_pure and BodyInterp::eval so both read operators the same way.
+sym::Range range_binary(ast::BinaryOp op, const sym::Range& lhs, const sym::Range& rhs);
+sym::Range range_unary(ast::UnaryOp op, const sym::Range& operand);
+
 // Evaluates an AST expression to a symbolic may-range under `env`.
 // Pure (no side effects); assignment/increment sub-expressions make the
 // result bottom. Used by the parallelizer for loop bounds and subscripts.

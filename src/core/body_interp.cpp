@@ -372,43 +372,11 @@ Range BodyInterp::eval(const ast::Expr& expr) {
     case ast::ExprNodeKind::Binary: {
       const auto* b = expr.as<ast::Binary>();
       Range lhs = eval(*b->lhs);
-      Range rhs = eval(*b->rhs);
-      switch (b->op) {
-        case ast::BinaryOp::Add:
-          return range_add(lhs, rhs);
-        case ast::BinaryOp::Sub:
-          return range_sub(lhs, rhs);
-        case ast::BinaryOp::Mul:
-          if (lhs.is_exact() && rhs.is_exact()) {
-            return Range::exact(sym::mul(lhs.exact_value(), rhs.exact_value()));
-          }
-          if (rhs.is_exact()) {
-            if (auto c = sym::const_value(rhs.exact_value())) return range_mul_const(lhs, *c);
-          }
-          if (lhs.is_exact()) {
-            if (auto c = sym::const_value(lhs.exact_value())) return range_mul_const(rhs, *c);
-          }
-          return Range::bottom();
-        case ast::BinaryOp::Div:
-          if (lhs.is_exact() && rhs.is_exact()) {
-            return Range::exact(sym::div_floor(lhs.exact_value(), rhs.exact_value()));
-          }
-          return Range::bottom();
-        case ast::BinaryOp::Rem:
-          if (lhs.is_exact() && rhs.is_exact()) {
-            return Range::exact(sym::mod(lhs.exact_value(), rhs.exact_value()));
-          }
-          return Range::bottom();
-        default:
-          // Comparison / logical operators yield a flag.
-          return Range::of_consts(0, 1);
-      }
+      return range_binary(b->op, lhs, eval(*b->rhs));
     }
     case ast::ExprNodeKind::Unary: {
       const auto* u = expr.as<ast::Unary>();
-      Range v = eval(*u->operand);
-      if (u->op == ast::UnaryOp::Neg) return range_negate(v);
-      return Range::of_consts(0, 1);
+      return range_unary(u->op, eval(*u->operand));
     }
     case ast::ExprNodeKind::Assign: {
       const auto* a = expr.as<ast::Assign>();

@@ -417,33 +417,6 @@ LoopVerdict Parallelizer::analyze_impl(const ast::For& loop, const Hypothesis* h
   auto range_test = [&](const Range& u) -> bool {
     if (u.is_bottom() || !u.lo_bounded() || !u.hi_bounded()) return false;
     ExprPtr lo_i = u.lo(), hi_i = u.hi();
-    // Chain fast path: when both bounds have constant-stride recurrence
-    // chains over i and the range width folds to a constant, the adjacent
-    // comparisons below reduce to constant tests — the canonical affine form
-    // makes both differences Const nodes, on which the prover is exact, so
-    // the outcome here is definitive in both directions and the subst +
-    // prover machinery is skipped entirely.
-    {
-      sym::RecurrenceBuilder& rec = sym::ExprArena::current().recurrences();
-      const sym::RecChain* clo = rec.chain_for(lo_i, index_sym, general_lb);
-      const sym::RecChain* chi = clo ? rec.chain_for(hi_i, index_sym, general_lb) : nullptr;
-      if (clo && chi) {
-        auto slo = sym::RecurrenceBuilder::const_stride(*clo);
-        auto shi = sym::RecurrenceBuilder::const_stride(*chi);
-        auto width = sym::const_value(sym::sub(hi_i, lo_i));
-        if (slo && shi && width) {
-          // Forward: hi(i) < lo(i+1) && lo(i+1) >= lo(i); backward mirrored.
-          bool forward = *width < *slo && *slo >= 0;
-          bool backward = *width + *shi < 0 && *slo <= 0;
-          if (!forward && !backward) return false;
-          if (range_mentions_elem(u)) {
-            used_monotonic_facts = true;
-            note_fact_arrays(u);
-          }
-          return true;
-        }
-      }
-    }
     ExprPtr lo_next = shift_index(lo_i, index_sym, 1);
     ExprPtr hi_next = shift_index(hi_i, index_sym, 1);
     // Forward: ranges advance with i.
@@ -523,8 +496,11 @@ LoopVerdict Parallelizer::analyze_impl(const ast::For& loop, const Hypothesis* h
     }
     if (!s || s->kind != sym::ExprKind::ArrayElem) return false;
     const sym::SymbolId b_sym = s->symbol;
-    auto aff = sym::as_affine_in(s->operands[0], index_sym);
-    if (!aff || (aff->first != 1 && aff->first != -1)) return false;
+    // The inner subscript must be i + k or k - i with an integer offset k.
+    const sym::RecChain* chain = sym::ExprArena::current().recurrences().chain_for(
+        s->operands[0], index_sym, sym::make_const(0));
+    auto stride = chain ? sym::RecurrenceBuilder::const_stride(*chain) : std::nullopt;
+    if (!stride || (*stride != 1 && *stride != -1) || !sym::is_const(chain->base)) return false;
     // Domain of the inner subscript over the iteration space.
     sym::RangeEnv env;
     env.entries.emplace_back(index_sym, Range::of(lb, sym::sub(ub, sym::make_const(1))));

@@ -56,8 +56,7 @@ struct LoopVerdict {
   // virtually peel the first iteration (Fig. 9 / Fig. 4 idiom).
   EnablingProperty property = EnablingProperty::None;
   bool peeled = false;
-  // Human-readable restatement of `property` (+ peeling); prefix matches
-  // property_name(property) so legacy string consumers keep working.
+  // Human-readable restatement of `property` (+ peeling).
   std::string reason;
   // Interprocedural provenance: names of the functions whose summaries
   // produced the index-array facts this proof consumed ("property proven via

@@ -196,11 +196,4 @@ class BatchAnalyzer {
   unsigned threads_;
 };
 
-// Histogram key for a parallel verdict: core::property_name(property), with
-// the legacy string-prefix fallback for verdicts that predate the enum.
-std::string property_key(const core::LoopVerdict& verdict);
-// Legacy string-prefix form ("monotonic non-decreasing bounds" ->
-// "monotonic"); kept for callers that only have a reason string.
-std::string property_key(const std::string& reason);
-
 }  // namespace sspar::driver

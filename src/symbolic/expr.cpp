@@ -345,47 +345,6 @@ ExprPtr from_linear(const LinearForm& lf) {
   return acc.build();
 }
 
-std::optional<std::pair<int64_t, int64_t>> as_affine_in(const ExprPtr& e, SymbolId id) {
-  LinearForm lf = to_linear(e);
-  if (lf.bottom) return std::nullopt;
-  int64_t c1 = 0;
-  for (const auto& [atom, coeff] : lf.terms) {
-    if (atom->kind == ExprKind::Sym && atom->symbol == id) {
-      c1 = coeff;
-    } else if (contains_sym(atom, id)) {
-      return std::nullopt;  // id occurs non-linearly (inside Mul/Div/ArrayElem...)
-    }
-  }
-  // All remaining terms must be free of `id` (checked above); fold them into
-  // the "constant" only when there are none, otherwise this is not affine
-  // with integer constant parts.
-  for (const auto& [atom, coeff] : lf.terms) {
-    (void)coeff;
-    if (atom->kind == ExprKind::Sym && atom->symbol == id) continue;
-    return std::nullopt;
-  }
-  return std::make_pair(c1, lf.constant);
-}
-
-std::optional<AffineSplit> split_affine_in(const ExprPtr& e, SymbolId id) {
-  LinearForm lf = to_linear(e);
-  if (lf.bottom) return std::nullopt;
-  AffineSplit split;
-  LinearForm rest;
-  rest.constant = lf.constant;
-  for (const auto& [atom, coeff] : lf.terms) {
-    if (atom->kind == ExprKind::Sym && atom->symbol == id) {
-      split.coeff = coeff;
-    } else if (contains_sym(atom, id)) {
-      return std::nullopt;  // id occurs non-linearly
-    } else {
-      rest.terms.emplace_back(atom, coeff);
-    }
-  }
-  split.rest = from_linear(rest);
-  return split;
-}
-
 ExprPtr rewrite(const ExprPtr& e, const RewriteFn& fn) {
   if (!e) return e;
   // Top-down: a replacement is final (children of the replacement are not

@@ -166,17 +166,6 @@ struct LinearForm {
 LinearForm to_linear(const ExprPtr& e);
 ExprPtr from_linear(const LinearForm& lf);
 
-// If e == c1 * sym(id) + c0, returns (c1, c0).
-std::optional<std::pair<int64_t, int64_t>> as_affine_in(const ExprPtr& e, SymbolId id);
-
-// General split: e == coeff * sym(id) + rest, where rest does not mention
-// sym(id) at all (also not inside non-linear atoms). Returns (coeff, rest).
-struct AffineSplit {
-  int64_t coeff = 0;
-  ExprPtr rest = nullptr;
-};
-std::optional<AffineSplit> split_affine_in(const ExprPtr& e, SymbolId id);
-
 // --- Rewriting --------------------------------------------------------------
 // Top-down rewrite: `fn` may replace a node before its children are visited;
 // a replacement is final (capture-free substitution semantics). Returning

@@ -35,14 +35,6 @@ RecChainPtr RecurrenceBuilder::intern(SymbolId index, ExprPtr first, ExprPtr bas
   chain->first = first;
   chain->base = base;
   chain->stride = stride;
-  chain->id = static_cast<uint32_t>(chains_.size());
-  // Built from the *structural* (arena-independent) expression hashes, so two
-  // arenas interning the same loop produce chains with equal hash_value.
-  size_t h = std::hash<uint32_t>{}(index);
-  h = mix_hash(h, hash(first));
-  h = mix_hash(h, hash(base));
-  h = mix_hash(h, hash(stride));
-  chain->hash_value = h;
   RecChainPtr out = chain.get();
   chains_.push_back(std::move(chain));
   interned_.emplace(key, out);

@@ -13,8 +13,11 @@
 //  * |stride| == 1         -> consecutiveness (coalesced accesses),
 //  * provably nonzero      -> injectivity of the filled section, even when
 //    stride                   the stride is *symbolic* (e.g. m*i + q with
-//                             m >= 1) and therefore invisible to the integer
-//                             coefficient view of split_affine_in.
+//                             m >= 1).
+//
+// This is the analysis core's only affine form: subscripts, written values
+// and λ deltas are all read through chain_for. Anchored at first == 0, `base`
+// is the index-free rest of e and a constant `stride` its integer coefficient.
 //
 // Chains are hash-consed like expressions: within one RecurrenceBuilder, two
 // structurally equal chains are the same RecChain object, so a relocated but
@@ -43,8 +46,6 @@ struct RecChain {
   ExprPtr first = nullptr;          // index value of the first iteration
   ExprPtr base = nullptr;           // chain value at index == first (index-free)
   ExprPtr stride = nullptr;         // per-iteration increment (index-free)
-  uint32_t id = 0;                  // dense per-builder id, creation-ordered
-  size_t hash_value = 0;            // structural hash (arena-independent)
 };
 using RecChainPtr = const RecChain*;
 

@@ -163,6 +163,44 @@ TEST(Phase2, StrictAffineFillIsInjective) {
   EXPECT_EQ(sym::to_string(value->lo(), a.syms()), "5");
 }
 
+TEST(Phase2, AffineValueAndChainKnobsAreIndependent) {
+  // One loop fills a symbolic-stride array (chain-injectivity rule) and a
+  // constant-stride one (affine-value rule); each knob switches off only its
+  // own rule's injectivity fact.
+  const char* source = R"(
+    int n; int m; int q;
+    int sym_idx[100];
+    int const_idx[100];
+    void fill() {
+      for (int i = 0; i < n; i++) {
+        sym_idx[i] = m * i + 2;
+        const_idx[i] = 3 * i + q;
+      }
+    }
+  )";
+  auto injective = [](const Analyzed& a, const char* array, bool* from_chain) {
+    sym::AssumptionContext ctx;
+    ctx.assume_ge(a.sym_of("n"), 1);
+    auto last = sym::sub(sym::make_sym(a.sym_of("n")), sym::make_const(1));
+    return a.end_facts("fill")->injective_over(a.sym_of(array), sym::make_const(0), last, ctx,
+                                               nullptr, from_chain);
+  };
+  AnalyzerOptions no_affine_value;
+  no_affine_value.enable_affine_value_rule = false;
+  auto a = analyze(source, {{"n", 1}, {"m", 1}}, no_affine_value);
+  bool from_chain = false;
+  EXPECT_TRUE(injective(a, "sym_idx", &from_chain));
+  EXPECT_TRUE(from_chain);
+  EXPECT_FALSE(injective(a, "const_idx", nullptr));
+
+  AnalyzerOptions no_chain;
+  no_chain.enable_chain_injectivity_rule = false;
+  auto b = analyze(source, {{"n", 1}, {"m", 1}}, no_chain);
+  EXPECT_FALSE(injective(b, "sym_idx", nullptr));
+  EXPECT_TRUE(injective(b, "const_idx", &from_chain));
+  EXPECT_FALSE(from_chain);
+}
+
 TEST(Phase2, DecreasingFill) {
   auto a = analyze(R"(
     int n;

@@ -653,6 +653,36 @@ TEST(Parallelizer, ChainInjectivityIsLoadBearing) {
   EXPECT_EQ(v.hybrid_property, EnablingProperty::Injective);
 }
 
+TEST(Parallelizer, AffineValueAndChainKnobsAreIndependent) {
+  // One chain lookup serves both rules: a constant stride goes to the
+  // affine-value rule, a symbolic stride to the chain-injectivity rule.
+  // Switching either knob off must leave the other rule's proofs intact.
+  AnalyzerOptions no_affine_value;
+  no_affine_value.enable_affine_value_rule = false;
+  auto symbolic = build(kSymbolicStrideScatter, {{"n", 1}, {"m", 1}}, no_affine_value);
+  auto v = symbolic.verdict_of("f", 1);
+  EXPECT_TRUE(v.parallel) << blockers(v);
+  EXPECT_EQ(v.property, EnablingProperty::AffineInjective);
+
+  AnalyzerOptions no_chain;
+  no_chain.enable_chain_injectivity_rule = false;
+  auto constant = build(R"(
+    int n; int q; int idx[4096]; double x[4096]; double y[4096];
+    void f() {
+      for (int i = 0; i < n; i++) {
+        idx[i] = 3 * i + q;
+      }
+      for (int i = 0; i < n; i++) {
+        y[idx[i]] = x[i] + 1.0;
+      }
+    }
+  )", {{"n", 1}, {"q", 0}}, no_chain);
+  v = constant.verdict_of("f", 1);
+  EXPECT_TRUE(v.parallel) << blockers(v);
+  // The affine-value rule's step fact orders the subscripts.
+  EXPECT_EQ(v.property, EnablingProperty::Monotonic);
+}
+
 TEST(Parallelizer, ChainInjectivityUnprovableStrideSignStaysSerial) {
   // Without the m >= 1 assumption the stride could be zero, so the chain
   // rule must not fire (idx could be constant and the scatter colliding).

@@ -211,8 +211,8 @@ TEST(EnablingProperty, VerdictsCarryTheEnumMatchingTheReasonPrefix) {
       continue;
     }
     EXPECT_NE(v.property, core::EnablingProperty::None);
-    // The legacy string key and the enum agree.
-    EXPECT_EQ(driver::property_key(v.reason), core::property_name(v.property));
+    // The reason restates the enum first.
+    EXPECT_EQ(v.reason.rfind(core::property_name(v.property), 0), 0u) << v.reason;
   }
   // The a[perm[i]] loop needs an index-array property (not plain affine
   // reasoning) — the identity fill makes perm's ranges/injectivity provable.

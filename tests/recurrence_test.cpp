@@ -1,6 +1,7 @@
 // Chains-of-recurrences canonicalization (symbolic/recurrence.h): randomized
-// differential checks against brute-force substitution, hash/pointer-equality
-// stability within and across arenas, and the relocated-loop regression.
+// differential checks against brute-force substitution, pointer-equality
+// stability within a builder, the integer-coefficient view anchored at 0, and
+// the relocated-loop regression.
 #include "symbolic/recurrence.h"
 
 #include <gtest/gtest.h>
@@ -112,22 +113,27 @@ TEST(RecurrenceTest, RelocatedIdenticalLoopProducesIdenticalChain) {
   EXPECT_EQ(before, after);
 }
 
-TEST(RecurrenceTest, HashStableAcrossArenas) {
-  auto build_chain_hash = [](size_t* chain_count) {
-    ExprArena arena;
-    ArenaScope scope(arena);
-    RecurrenceBuilder& rec = arena.recurrences();
-    ExprPtr e = add(mul(make_sym(kM), make_sym(kI)), make_sym(kQ));
-    const RecChain* chain = rec.chain_for(e, kI, make_const(1));
-    EXPECT_NE(chain, nullptr);
-    *chain_count = rec.stats().chains;
-    return chain->hash_value;
-  };
-  size_t n1 = 0, n2 = 0;
-  size_t h1 = build_chain_hash(&n1);
-  size_t h2 = build_chain_hash(&n2);
-  EXPECT_EQ(h1, h2);
-  EXPECT_EQ(n1, n2);
+TEST(RecurrenceTest, AnchoredAtZeroGivesIntegerCoefficientAndRest) {
+  // Anchored at 0, a chain reads as e == stride * i + base: the view the
+  // aggregation rules and the injectivity test take of subscripts and values.
+  RecurrenceBuilder& rec = ExprArena::current().recurrences();
+  ExprPtr i = make_sym(kI);
+  const RecChain* affine = rec.chain_for(add(mul_const(i, 7), make_const(5)), kI, make_const(0));
+  ASSERT_NE(affine, nullptr);
+  EXPECT_EQ(RecurrenceBuilder::const_stride(*affine), std::optional<int64_t>(7));
+  EXPECT_EQ(const_value(affine->base), std::optional<int64_t>(5));
+
+  const RecChain* constant = rec.chain_for(make_const(4), kI, make_const(0));
+  ASSERT_NE(constant, nullptr);
+  EXPECT_EQ(RecurrenceBuilder::const_stride(*constant), std::optional<int64_t>(0));
+  EXPECT_EQ(const_value(constant->base), std::optional<int64_t>(4));
+
+  // i + n: unit stride, but the rest is symbolic, not an integer offset.
+  const RecChain* offset = rec.chain_for(add(i, make_sym(kQ)), kI, make_const(0));
+  ASSERT_NE(offset, nullptr);
+  EXPECT_EQ(RecurrenceBuilder::const_stride(*offset), std::optional<int64_t>(1));
+  EXPECT_FALSE(is_const(offset->base));
+  EXPECT_EQ(offset->base, make_sym(kQ));
 }
 
 TEST(RecurrenceTest, NestedChainOverOuterIndex) {

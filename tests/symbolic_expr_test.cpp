@@ -111,24 +111,6 @@ TEST_F(ExprTest, LinearFormRoundTrip) {
   EXPECT_TRUE(equal(from_linear(lf), e));
 }
 
-TEST_F(ExprTest, AsAffineIn) {
-  auto aff = as_affine_in(add(mul_const(I(), 7), make_const(5)), i);
-  ASSERT_TRUE(aff.has_value());
-  EXPECT_EQ(aff->first, 7);
-  EXPECT_EQ(aff->second, 5);
-
-  EXPECT_FALSE(as_affine_in(mul(I(), I()), i).has_value());
-  EXPECT_FALSE(as_affine_in(add(I(), N()), i).has_value());     // extra symbol term
-  EXPECT_FALSE(as_affine_in(make_array_elem(a, I()), i).has_value());
-}
-
-TEST_F(ExprTest, AsAffineInConstant) {
-  auto aff = as_affine_in(make_const(4), i);
-  ASSERT_TRUE(aff.has_value());
-  EXPECT_EQ(aff->first, 0);
-  EXPECT_EQ(aff->second, 4);
-}
-
 TEST_F(ExprTest, SubstSym) {
   auto e = add(mul_const(I(), 2), N());
   auto r = subst_sym(e, i, make_const(5));
