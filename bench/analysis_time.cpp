@@ -46,7 +46,7 @@ int main() {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"blocks", "loops", "source lines", "parse[ms]", "analyze[ms]",
                   "range test[ms]", "re-analyze[ms]", "parallel loops"});
-  for (int blocks : {1, 4, 16, 64, 128}) {
+  for (int blocks : {1, 4, 16, 64, 128, 256, 512, 1024}) {
     std::string src = synthesize(blocks);
     size_t lines = support::split_lines(src).size();
 

@@ -166,7 +166,7 @@ const std::pair<uint64_t, uint64_t>* Analyzer::content_key(const ast::FuncDecl* 
 }
 
 void Analyzer::analyze_function(const ast::FuncDecl& function) {
-  fact_provenance_.clear();
+  fact_provenance_.reset();
   ScalarEnv env;
   // Globals with constant initializers have a known entry value; everything
   // else starts as its own symbol.
@@ -196,9 +196,7 @@ void Analyzer::flow_stmt(const ast::Stmt& stmt, ScalarEnv& env, FactDB& facts) {
       snap.info = recognize_loop(loop);
       snap.facts_at_entry = facts;
       snap.scalars_at_entry = env;
-      for (const auto& [array, origins] : fact_provenance_) {
-        snap.fact_provenance[array].assign(origins.begin(), origins.end());
-      }
+      snap.fact_provenance = fact_provenance_;
       int key = next_key_++;
       loop_keys_[&loop] = key;
       snapshots_[key] = std::move(snap);
@@ -212,9 +210,7 @@ void Analyzer::flow_stmt(const ast::Stmt& stmt, ScalarEnv& env, FactDB& facts) {
           inner_snap.info = recognize_loop(*inner);
           inner_snap.facts_at_entry = facts;
           inner_snap.scalars_at_entry = env;
-          for (const auto& [array, origins] : fact_provenance_) {
-            inner_snap.fact_provenance[array].assign(origins.begin(), origins.end());
-          }
+          inner_snap.fact_provenance = fact_provenance_;
           int inner_key = next_key_++;
           loop_keys_[inner] = inner_key;
           snapshots_[inner_key] = std::move(inner_snap);
@@ -263,7 +259,7 @@ void Analyzer::apply_straight_line(BodyInterp& interp, ScalarEnv& env, FactDB& f
         !w.summary_origin) {
       facts.add_value(w.array->symbol, ValueFact{w.index, w.index, w.value});
     }
-    if (track_provenance && !w.summary_origin) fact_provenance_.erase(w.array->symbol);
+    if (track_provenance && !w.summary_origin) forget_provenance(w.array->symbol);
   }
   // Callee exit facts from unconditional calls, after the kills.
   for (const auto& pf : interp.pending_facts) {
@@ -281,17 +277,36 @@ void Analyzer::apply_straight_line(BodyInterp& interp, ScalarEnv& env, FactDB& f
     if (pf.fact.value) facts.add_value(pf.fact.array, *pf.fact.value);
     if (pf.fact.step) facts.add_step(pf.fact.array, *pf.fact.step);
     if (pf.fact.injective) facts.add_injective(pf.fact.array, *pf.fact.injective);
-    if (track_provenance && pf.origin) {
-      fact_provenance_[pf.fact.array].insert(pf.origin->name);
+    if (track_provenance && pf.origin) note_provenance(pf.fact.array, pf.origin->name);
+  }
+}
+
+void Analyzer::note_provenance(sym::SymbolId array, const std::string& origin) {
+  if (!fact_provenance_) {
+    fact_provenance_ = std::make_shared<FactProvenance>();
+  } else {
+    auto it = fact_provenance_->find(array);
+    if (it != fact_provenance_->end() && it->second.count(origin)) return;
+    if (fact_provenance_.use_count() > 1) {
+      fact_provenance_ = std::make_shared<FactProvenance>(*fact_provenance_);
     }
   }
+  (*fact_provenance_)[array].insert(origin);
+}
+
+void Analyzer::forget_provenance(sym::SymbolId array) {
+  if (!fact_provenance_ || !fact_provenance_->count(array)) return;
+  if (fact_provenance_.use_count() > 1) {
+    fact_provenance_ = std::make_shared<FactProvenance>(*fact_provenance_);
+  }
+  fact_provenance_->erase(array);
 }
 
 void Analyzer::havoc_stmt(const ast::Stmt& stmt, ScalarEnv& env, FactDB& facts) {
   for (const ast::VarDecl* decl : written_scalars(stmt)) env.set(decl, Range::bottom());
   for (const ast::VarDecl* arr : written_arrays(stmt)) {
     facts.kill_all(arr->symbol);
-    fact_provenance_.erase(arr->symbol);
+    forget_provenance(arr->symbol);
   }
   // Calls may write state that is invisible syntactically; havoc their
   // may-write sets (or everything, when the callee is opaque or unknown).
@@ -307,7 +322,7 @@ void Analyzer::havoc_stmt(const ast::Stmt& stmt, ScalarEnv& env, FactDB& facts) 
     for (const ast::VarDecl* decl : s->may_write_scalars) env.set(decl, Range::bottom());
     for (const ast::VarDecl* arr : s->may_write_arrays) {
       facts.kill_all(arr->symbol);
-      fact_provenance_.erase(arr->symbol);
+      forget_provenance(arr->symbol);
     }
     if (s->writes_array_params) {
       // The callee stores through its array parameters: the actuals at this
@@ -316,7 +331,7 @@ void Analyzer::havoc_stmt(const ast::Stmt& stmt, ScalarEnv& env, FactDB& facts) 
         if (const auto* var = arg->as<ast::VarRef>()) {
           if (var->decl && var->decl->is_array()) {
             facts.kill_all(var->decl->symbol);
-            fact_provenance_.erase(var->decl->symbol);
+            forget_provenance(var->decl->symbol);
           }
         }
       }
@@ -328,11 +343,8 @@ void Analyzer::havoc_stmt(const ast::Stmt& stmt, ScalarEnv& env, FactDB& facts) 
     }
     // Kill every array fact at this point, not just the globals': a local
     // array passed as an argument is writable by the opaque callee too.
-    std::vector<sym::SymbolId> known;
-    known.reserve(facts.all().size());
-    for (const auto& [array, unused] : facts.all()) known.push_back(array);
-    for (sym::SymbolId array : known) facts.kill_all(array);
-    fact_provenance_.clear();
+    facts = FactDB();
+    fact_provenance_.reset();
   }
 }
 
@@ -382,7 +394,13 @@ void Analyzer::apply_effect(const ast::For& loop, const LoopEffect& effect, Scal
     if (auto info = recognize_loop(loop)) env.set(info->index, Range::bottom());
     return;
   }
-  for (const auto& [decl, final] : effect.scalar_finals) env.set(decl, final);
+  // Scalars declared inside the loop (an inner loop's index, say) go out of
+  // scope with it. Keeping them would grow the flow environment, and every
+  // later loop's snapshot of it, with the number of loops before.
+  const std::set<const ast::VarDecl*> locals = declared_in(loop);
+  for (const auto& [decl, final] : effect.scalar_finals) {
+    if (!locals.count(decl)) env.set(decl, final);
+  }
   // Kills first...
   for (const auto& w : effect.writes) {
     if (!w.array) continue;
@@ -412,9 +430,9 @@ void Analyzer::apply_effect(const ast::For& loop, const LoopEffect& effect, Scal
     if (summary_mode_) continue;
     auto it = write_origins.find(f.array);
     if (it != write_origins.end() && !it->second.empty()) {
-      fact_provenance_[f.array].insert(it->second.begin(), it->second.end());
+      for (const std::string& origin : it->second) note_provenance(f.array, origin);
     } else {
-      fact_provenance_.erase(f.array);
+      forget_provenance(f.array);
     }
   }
 }
@@ -932,10 +950,10 @@ const ipa::FunctionSummary* Analyzer::context_summary(
     const std::set<sym::SymbolId>& stale_arrays,
     const std::function<bool(sym::SymbolId)>& scalar_unchanged) {
   const ipa::FunctionSummary* base = call_summary(call);
-  if (!base || !base->analyzable || caller_facts.all().empty()) return base;
+  if (!base || !base->analyzable || caller_facts.empty()) return base;
   FactDB projected =
       project_entry_facts(*base, caller_facts, stale_arrays, scalar_unchanged);
-  if (projected.all().empty()) return base;
+  if (projected.empty()) return base;
   uint64_t fingerprint = ipa::fingerprint_facts(projected, symbols_);
   const ipa::FunctionSummary* specialized =
       obtain_summary(call.decl, &projected, fingerprint, /*graph=*/nullptr);
@@ -959,8 +977,9 @@ FactDB Analyzer::project_entry_facts(
   auto visible_range = [&](const sym::Range& r) {
     return (!r.lo() || visible(r.lo())) && (!r.hi() || visible(r.hi()));
   };
-  for (const auto& [array, facts] : caller_facts.all()) {
-    if (!read_arrays.count(array) || stale_arrays.count(array)) continue;
+  for (sym::SymbolId array : read_arrays) {
+    const ArrayFacts* facts = caller_facts.find(array);
+    if (!facts || stale_arrays.count(array)) continue;
     ArrayFacts kept;
     for (const ValueFact& f : facts->values) {
       if (visible(f.lo) && visible(f.hi) && visible_range(f.value)) {

@@ -116,6 +116,10 @@ struct LoopEffect {
   bool analyzable = true;  // false => caller must havoc conservatively
 };
 
+// For each array whose facts were produced by applying a callee's summary:
+// the names of the summarized functions.
+using FactProvenance = std::map<sym::SymbolId, std::set<std::string>>;
+
 // Result snapshots keyed by For::loop_id, for consumption by the
 // parallelizer / dependence test.
 struct LoopSnapshot {
@@ -123,10 +127,10 @@ struct LoopSnapshot {
   std::optional<LoopInfo> info;
   FactDB facts_at_entry;
   ScalarEnv scalars_at_entry;
-  // For each array with facts at loop entry that were produced by applying a
-  // callee's summary: the (sorted) names of the summarized functions. Feeds
+  // Provenance of the entry facts (null when none was ever recorded). Feeds
   // LoopVerdict::summaries_used ("property proven via summary of f").
-  std::map<sym::SymbolId, std::vector<std::string>> fact_provenance;
+  // Immutable, and shared by every snapshot taken while it did not change.
+  std::shared_ptr<const FactProvenance> fact_provenance;
 };
 
 struct AnalyzerOptions {
@@ -285,6 +289,9 @@ class Analyzer {
   // finals, fact kills, point facts, call-produced facts).
   void apply_straight_line(class BodyInterp& interp, ScalarEnv& env, FactDB& facts,
                            bool track_provenance);
+  // Copy-on-write updates of fact_provenance_.
+  void note_provenance(sym::SymbolId array, const std::string& origin);
+  void forget_provenance(sym::SymbolId array);
   // W03xx: records why `loop` degraded to unanalyzable (once per loop).
   void warn_unanalyzable(const ast::For& loop, const class BodyInterp& body);
 
@@ -331,7 +338,9 @@ class Analyzer {
   std::set<const ast::FuncDecl*> scc_functions_;
   // Flow state of the function being analyzed: which summaries produced the
   // facts currently held for each array (cleared when locally re-derived).
-  std::map<sym::SymbolId, std::set<std::string>> fact_provenance_;
+  // Null until the first entry. Snapshots share it, so it is copied on
+  // write whenever a snapshot still holds it.
+  std::shared_ptr<FactProvenance> fact_provenance_;
 };
 
 // Range of `lhs op rhs` / `op operand` given the operands' ranges. Shared by

@@ -546,8 +546,7 @@ Range BodyInterp::apply_call(const ast::Call& call) {
   // from calls inside a loop iteration or branch are dropped, like
   // inner-loop facts.
   if (!index_ && cond_depth_ == 0) {
-    for (const auto& [array, facts_ptr] : s->end_facts.all()) {
-      const ArrayFacts& facts = *facts_ptr;
+    for (const auto& [array, facts] : s->end_facts) {
       const sym::SymbolId mapped = applier.remap_array_symbol(array);
       auto push = [this, s](LoopEffect::ProducedFact fact) {
         pending_facts.push_back(PendingFact{std::move(fact), s->function, writes.size()});

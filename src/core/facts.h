@@ -21,8 +21,7 @@
 // Sections are inclusive symbolic index ranges.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,19 +67,31 @@ struct ArrayFacts {
 
 // Flow-sensitive fact database for one program point.
 //
-// Copy-on-write: copying a FactDB shares the per-array fact sets and only
-// clones an array's set when a mutation actually lands on it. The analyzer
-// snapshots the whole database at every loop entry (LoopSnapshot), which made
-// database copies the superlinear term of large-program analysis; under COW a
-// snapshot is a map of pointers. Not thread-safe (one FactDB per session).
+// Persistent map keyed by SymbolId: copying a FactDB is O(1) and shares all
+// structure with the source. A mutation copies only the O(log n) trie path
+// to the array it touches plus that array's ArrayFacts, so the per-loop
+// LoopSnapshot copies and aggregation masks cost nothing in the number of
+// arrays. The trie is bitmap-compressed (a node holds only its present
+// children), so a database of a handful of arrays stays a few small nodes.
+// A copy never observes mutations of another copy. Distinct FactDB objects
+// may be used from different threads; one object is not thread-safe.
 class FactDB {
  public:
+  FactDB() = default;
+  FactDB(const FactDB& other);
+  FactDB(FactDB&& other) noexcept;
+  FactDB& operator=(FactDB other) noexcept;
+  ~FactDB();
+
   void add_value(sym::SymbolId array, ValueFact fact);
   void add_step(sym::SymbolId array, StepFact fact);
   void add_injective(sym::SymbolId array, InjectiveFact fact);
   // Adds the identity fact plus its derived Value/Step/Injective facts.
   void add_identity(sym::SymbolId array, IdentityFact fact);
 
+  // Facts held for `array`, or null. The pointer stays valid until this
+  // database next mutates `array` or is destroyed; copies that leave an
+  // array untouched return the same pointer for it.
   const ArrayFacts* find(sym::SymbolId array) const;
 
   // Installs an already-derived fact set for `array` verbatim, replacing any
@@ -97,6 +108,8 @@ class FactDB {
                         const sym::AssumptionContext& ctx);
   // Drops every fact about `array`.
   void kill_all(sym::SymbolId array);
+
+  bool empty() const { return root_ == nullptr; }
 
   // --- Queries (all proofs use `ctx` for symbol bounds only) ---------------
 
@@ -129,14 +142,57 @@ class FactDB {
 
   std::string to_string(const sym::SymbolTable& syms) const;
 
-  using FactsPtr = std::shared_ptr<const ArrayFacts>;
-  const std::map<sym::SymbolId, FactsPtr>& all() const { return facts_; }
+ private:
+  // Trie representation (facts.cpp): refcounted nodes and per-array boxes.
+  struct Counted;
+  struct Node;
+  struct Box;
+  struct Trie;
+  // 32-bit keys at 5 bits per trie level.
+  static constexpr int kLevels = 7;
+
+ public:
+  // One array's facts, as yielded by iteration.
+  struct Entry {
+    sym::SymbolId array;
+    const ArrayFacts& facts;
+  };
+
+  // Forward iteration over the arrays with facts, in ascending SymbolId
+  // order. Invalidated by any mutation of the database.
+  class Iterator {
+   public:
+    Entry operator*() const;
+    Iterator& operator++();
+    bool operator==(const Iterator& other) const;
+
+   private:
+    friend class FactDB;
+    // Moves levels `level`..0 to the first entry below nodes_[level].
+    void descend(int level);
+
+    // The path to the current entry: at each level, the node and the key
+    // digit / child index taken in it. top_ < 0 marks the end.
+    const Node* nodes_[kLevels] = {};
+    uint8_t digits_[kLevels] = {};
+    uint8_t slots_[kLevels] = {};
+    int top_ = -1;
+  };
+
+  Iterator begin() const;
+  Iterator end() const { return Iterator(); }
 
  private:
+  // The trie slot holding `array`'s facts, created (empty) if absent, with
+  // every node on the path uniquely owned by this database.
+  Counted*& leaf_slot(sym::SymbolId array);
   // Clone-on-write access for mutations; creates the entry if absent.
   ArrayFacts& mutate(sym::SymbolId array);
 
-  std::map<sym::SymbolId, FactsPtr> facts_;
+  // Root node at level root_level_ (covering keys < 32^(root_level_+1)), or
+  // null when the database is empty.
+  Counted* root_ = nullptr;
+  int root_level_ = 0;
 };
 
 }  // namespace sspar::core

@@ -117,4 +117,20 @@ std::vector<const ast::VarDecl*> written_arrays(const ast::Stmt& stmt) {
   return arrays;
 }
 
+std::set<const ast::VarDecl*> declared_in(const ast::Stmt& stmt) {
+  std::set<const ast::VarDecl*> declared;
+  ast::walk_stmts(&stmt, [&](const ast::Stmt* s) {
+    if (const auto* ds = s->as<ast::DeclStmt>()) {
+      for (const auto& d : ds->decls) declared.insert(d.get());
+    }
+    if (const auto* f = s->as<ast::For>()) {
+      if (const auto* ds = f->init->as<ast::DeclStmt>()) {
+        for (const auto& d : ds->decls) declared.insert(d.get());
+      }
+    }
+    return true;
+  });
+  return declared;
+}
+
 }  // namespace sspar::core

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <set>
 
 #include "frontend/ast.h"
 #include "symbolic/expr.h"
@@ -30,5 +31,9 @@ std::vector<const ast::VarDecl*> written_scalars(const ast::Stmt& stmt);
 
 // Arrays written anywhere in `stmt`.
 std::vector<const ast::VarDecl*> written_arrays(const ast::Stmt& stmt);
+
+// Declarations anywhere inside `stmt`, for-inits included (a loop's own
+// too): storage whose scope ends with `stmt`.
+std::set<const ast::VarDecl*> declared_in(const ast::Stmt& stmt);
 
 }  // namespace sspar::core

@@ -300,18 +300,7 @@ LoopVerdict Parallelizer::analyze_impl(const ast::For& loop, const Hypothesis* h
   // --- Scalar dependences -----------------------------------------------------
   // Declarations anywhere inside the loop (including inner for-inits) are
   // iteration-local storage: never loop-carried and never privatized.
-  std::set<const ast::VarDecl*> declared_inside;
-  ast::walk_stmts(static_cast<const ast::Stmt*>(&loop), [&](const ast::Stmt* s) {
-    if (const auto* ds = s->as<ast::DeclStmt>()) {
-      for (const auto& d : ds->decls) declared_inside.insert(d.get());
-    }
-    if (const auto* f = s->as<ast::For>()) {
-      if (const auto* ds = f->init->as<ast::DeclStmt>()) {
-        for (const auto& d : ds->decls) declared_inside.insert(d.get());
-      }
-    }
-    return true;
-  });
+  const std::set<const ast::VarDecl*> declared_inside = declared_in(loop);
   auto check_scalars = [&](const BodyInterp& interp) {
     for (const ast::VarDecl* decl : sorted_decls(interp.written)) {
       if (decl == info.index) {
@@ -633,8 +622,9 @@ LoopVerdict Parallelizer::analyze_impl(const ast::For& loop, const Hypothesis* h
     // proof back to the summaries that produced those facts at loop entry.
     std::set<std::string> via;
     for (sym::SymbolId array : fact_arrays_used) {
-      auto it = snap->fact_provenance.find(array);
-      if (it == snap->fact_provenance.end()) continue;
+      if (!snap->fact_provenance) break;
+      auto it = snap->fact_provenance->find(array);
+      if (it == snap->fact_provenance->end()) continue;
       via.insert(it->second.begin(), it->second.end());
     }
     verdict.summaries_used.assign(via.begin(), via.end());

@@ -79,8 +79,7 @@ Value verdict_to_json(const core::LoopVerdict& verdict) {
 
 Value facts_to_json(const core::FactDB& facts, const sym::SymbolTable& symbols) {
   Object by_array;
-  for (const auto& [array, array_facts_ptr] : facts.all()) {
-    const core::ArrayFacts& array_facts = *array_facts_ptr;
+  for (const auto& [array, array_facts] : facts) {
     Object entry;
     Array identities;
     for (const auto& f : array_facts.identities) {

@@ -45,11 +45,11 @@ void ContentHasher::mix(uint64_t v) {
 // ---------------------------------------------------------------------------
 
 uint64_t fingerprint_facts(const core::FactDB& facts, const sym::SymbolTable& symbols) {
-  if (facts.all().empty()) return 0;
+  if (facts.empty()) return 0;
   // Serialize arrays sorted by name (SymbolIds are session-local).
   std::vector<std::pair<std::string, sym::SymbolId>> arrays;
-  for (const auto& [array, unused] : facts.all()) {
-    arrays.emplace_back(symbols.name(array), array);
+  for (const auto& entry : facts) {
+    arrays.emplace_back(symbols.name(entry.array), entry.array);
   }
   std::sort(arrays.begin(), arrays.end());
   ContentHasher h;
@@ -110,9 +110,8 @@ std::set<sym::SymbolId> collect_fact_scalar_symbols(const core::FactDB& facts) {
     collect(r.lo());
     collect(r.hi());
   };
-  for (const auto& [array, af_ptr] : facts.all()) {
-    (void)array;
-    const core::ArrayFacts& af = *af_ptr;
+  for (const auto& entry : facts) {
+    const core::ArrayFacts& af = entry.facts;
     for (const auto& f : af.values) {
       collect(f.lo);
       collect(f.hi);
@@ -297,8 +296,7 @@ std::optional<PortableSummary> to_portable(const FunctionSummary& summary,
     if (!effect_to_portable(r, names, e)) return std::nullopt;
     out.reads.push_back(std::move(e));
   }
-  for (const auto& [array, facts_ptr] : summary.end_facts.all()) {
-    const core::ArrayFacts& facts = *facts_ptr;
+  for (const auto& [array, facts] : summary.end_facts) {
     const std::string* array_name = names.name_of(array);
     if (!array_name) return std::nullopt;
     PortableArrayFacts pf;

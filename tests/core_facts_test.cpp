@@ -2,6 +2,13 @@
 // canonical-loop recognizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/facts.h"
 #include "core/loop_info.h"
 #include "frontend/frontend.h"
@@ -206,6 +213,271 @@ TEST_F(FactDbTest, ToStringListsFacts) {
   std::string dump = db.to_string(syms);
   EXPECT_NE(dump.find("arr"), std::string::npos);
   EXPECT_NE(dump.find("step"), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// Persistence: copies share structure, never state
+// --------------------------------------------------------------------------
+
+TEST_F(FactDbTest, CopiesAreIsolatedInBothDirections) {
+  sym::SymbolId other = syms.intern("other");
+  FactDB db;
+  db.add_value(arr, ValueFact{c(0), c(9), sym::Range::of_consts(0, 5)});
+  db.add_step(arr, StepFact{c(1), c(9), sym::Range::of_consts(1, 1)});
+  db.add_value(other, ValueFact{c(0), c(3), sym::Range::of_consts(7, 7)});
+  const std::string original = db.to_string(syms);
+
+  using Mutation = std::function<void(FactDB&)>;
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"add_value",
+       [&](FactDB& d) { d.add_value(arr, ValueFact{c(20), c(29), sym::Range::of_consts(1, 1)}); }},
+      {"add_step",
+       [&](FactDB& d) { d.add_step(other, StepFact{c(1), c(3), sym::Range::of_consts(0, 2)}); }},
+      {"add_injective",
+       [&](FactDB& d) { d.add_injective(arr, InjectiveFact{c(0), c(9), std::nullopt}); }},
+      {"add_identity", [&](FactDB& d) { d.add_identity(syms.intern("fresh"), {c(0), c(4)}); }},
+      {"kill_overlapping", [&](FactDB& d) { d.kill_overlapping(arr, c(5), c(5), ctx); }},
+      {"kill_all", [&](FactDB& d) { d.kill_all(other); }},
+      {"restore", [&](FactDB& d) {
+         ArrayFacts facts;
+         facts.injectives.push_back(InjectiveFact{c(0), c(1), 0});
+         d.restore(arr, std::move(facts));
+       }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    // The copy changes; the source does not.
+    FactDB copy = db;
+    mutate(copy);
+    EXPECT_NE(copy.to_string(syms), original) << name;
+    EXPECT_EQ(db.to_string(syms), original) << name;
+    // The source changes; an earlier copy does not.
+    FactDB source = db;
+    FactDB snapshot = source;
+    mutate(source);
+    EXPECT_EQ(snapshot.to_string(syms), original) << name;
+  }
+}
+
+TEST_F(FactDbTest, UntouchedArraysKeepTheirFactsAcrossCopies) {
+  sym::SymbolId other = syms.intern("other");
+  FactDB db;
+  db.add_value(arr, ValueFact{c(0), c(9), sym::Range::of_consts(0, 5)});
+  db.add_value(other, ValueFact{c(0), c(3), sym::Range::of_consts(7, 7)});
+  FactDB copy = db;
+  EXPECT_EQ(copy.find(arr), db.find(arr));
+  EXPECT_EQ(copy.find(other), db.find(other));
+
+  // A duplicate fact and a kill that provably misses every fact are no-ops:
+  // neither clones the array's facts.
+  copy.add_value(arr, ValueFact{c(0), c(9), sym::Range::of_consts(0, 5)});
+  copy.kill_overlapping(arr, c(100), c(200), ctx);
+  EXPECT_EQ(copy.find(arr), db.find(arr));
+
+  // A real mutation clones only the array it lands on.
+  copy.add_value(arr, ValueFact{c(20), c(29), sym::Range::of_consts(1, 1)});
+  EXPECT_NE(copy.find(arr), db.find(arr));
+  EXPECT_EQ(copy.find(other), db.find(other));
+  ASSERT_NE(db.find(arr), nullptr);
+  EXPECT_EQ(db.find(arr)->values.size(), 1u);
+  EXPECT_EQ(copy.find(arr)->values.size(), 2u);
+}
+
+TEST_F(FactDbTest, IteratesInAscendingSymbolOrderAcrossCapacityGrowth) {
+  // Keys beyond every smaller trie height, inserted out of order: the first
+  // key fits a one-level trie, later ones force the root to grow.
+  const std::vector<sym::SymbolId> keys = {5,    1u << 20, 31, 32,         0,
+                                           1023, 1024,     70, 0xFFFFFFFEu, 1u << 25};
+  FactDB db;
+  EXPECT_TRUE(db.empty());
+  EXPECT_EQ(db.begin(), db.end());
+  for (sym::SymbolId key : keys) {
+    db.add_value(key, ValueFact{c(key % 7), c(key % 7), sym::Range::of_consts(1, 1)});
+  }
+  EXPECT_FALSE(db.empty());
+  std::vector<sym::SymbolId> seen;
+  for (const auto& [array, facts] : db) {
+    seen.push_back(array);
+    EXPECT_EQ(&facts, db.find(array));
+  }
+  std::vector<sym::SymbolId> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(seen, sorted);
+  EXPECT_EQ(db.find(1u << 21), nullptr);
+  EXPECT_EQ(db.find(6), nullptr);
+
+  for (sym::SymbolId key : keys) {
+    ASSERT_NE(db.find(key), nullptr) << key;
+    db.kill_all(key);
+    EXPECT_EQ(db.find(key), nullptr) << key;
+  }
+  EXPECT_TRUE(db.empty());
+  EXPECT_EQ(db.begin(), db.end());
+}
+
+// Reference model: a plain ordered map with the FactDB mutation rules
+// (duplicates are dropped; kills keep the array's now-empty entry).
+class ModelDb {
+ public:
+  template <typename Fact, typename Same>
+  static void add(std::vector<Fact>& list, const Fact& fact, Same same) {
+    for (const Fact& f : list) {
+      if (same(f, fact)) return;
+    }
+    list.push_back(fact);
+  }
+  static bool same_section(const sym::ExprPtr& alo, const sym::ExprPtr& ahi,
+                           const sym::ExprPtr& blo, const sym::ExprPtr& bhi) {
+    return sym::equal(alo, blo) && sym::equal(ahi, bhi);
+  }
+
+  void add_value(sym::SymbolId a, const ValueFact& fact) {
+    add(facts[a].values, fact, [](const ValueFact& x, const ValueFact& y) {
+      return same_section(x.lo, x.hi, y.lo, y.hi) && x.value == y.value;
+    });
+  }
+  void add_step(sym::SymbolId a, const StepFact& fact) {
+    add(facts[a].steps, fact, [](const StepFact& x, const StepFact& y) {
+      return same_section(x.lo, x.hi, y.lo, y.hi) && x.step == y.step;
+    });
+  }
+  void add_injective(sym::SymbolId a, const InjectiveFact& fact) {
+    add(facts[a].injectives, fact, [](const InjectiveFact& x, const InjectiveFact& y) {
+      return same_section(x.lo, x.hi, y.lo, y.hi) && x.min_value == y.min_value;
+    });
+  }
+  void add_identity(sym::SymbolId a, const IdentityFact& fact) {
+    for (const IdentityFact& f : facts[a].identities) {
+      if (same_section(f.lo, f.hi, fact.lo, fact.hi)) return;
+    }
+    add_value(a, ValueFact{fact.lo, fact.hi, sym::Range::of(fact.lo, fact.hi)});
+    add_step(a, StepFact{sym::add(fact.lo, sym::make_const(1)), fact.hi,
+                         sym::Range::of_consts(1, 1)});
+    add_injective(a, InjectiveFact{fact.lo, fact.hi, std::nullopt});
+    facts[a].identities.push_back(fact);
+  }
+  // Constant sections only: overlap is plain interval intersection.
+  void kill_overlapping(sym::SymbolId a, int64_t lo, int64_t hi) {
+    auto it = facts.find(a);
+    if (it == facts.end()) return;
+    auto hits = [&](const sym::ExprPtr& flo, const sym::ExprPtr& fhi, int64_t shift) {
+      return !(*sym::const_value(fhi) < lo || hi < *sym::const_value(flo) - shift);
+    };
+    ArrayFacts& f = it->second;
+    std::erase_if(f.values, [&](const ValueFact& v) { return hits(v.lo, v.hi, 0); });
+    std::erase_if(f.steps, [&](const StepFact& v) { return hits(v.lo, v.hi, 1); });
+    std::erase_if(f.injectives, [&](const InjectiveFact& v) { return hits(v.lo, v.hi, 0); });
+    std::erase_if(f.identities, [&](const IdentityFact& v) { return hits(v.lo, v.hi, 0); });
+  }
+  void kill_all(sym::SymbolId a) { facts.erase(a); }
+  void restore(sym::SymbolId a, const ArrayFacts& f) {
+    if (f.empty()) {
+      facts.erase(a);
+    } else {
+      facts[a] = f;
+    }
+  }
+
+  std::map<sym::SymbolId, ArrayFacts> facts;
+};
+
+TEST_F(FactDbTest, RandomizedDifferentialAgainstOrderedMapModel) {
+  std::mt19937 rng(20261019);
+  auto pick = [&rng](uint32_t n) { return static_cast<uint32_t>(rng() % n); };
+  // Small ids share one leaf node; the large ones force multi-level paths.
+  const std::vector<sym::SymbolId> key_pool = {0,    1,    2,        7,          31,
+                                               32,   33,   600,      1024,       40000,
+                                               1u << 20, (1u << 20) + 1, 0xFFFFFFF0u};
+  auto render = [this](const ArrayFacts& f) {
+    auto e = [this](const sym::ExprPtr& x) { return sym::to_string(x, syms); };
+    std::string out;
+    for (const auto& v : f.values) out += "V" + e(v.lo) + ":" + e(v.hi) + v.value.to_string(syms);
+    for (const auto& v : f.steps) out += "S" + e(v.lo) + ":" + e(v.hi) + v.step.to_string(syms);
+    for (const auto& v : f.injectives) {
+      out += "I" + e(v.lo) + ":" + e(v.hi) + (v.min_value ? std::to_string(*v.min_value) : "-");
+    }
+    for (const auto& v : f.identities) out += "D" + e(v.lo) + ":" + e(v.hi);
+    return out;
+  };
+  auto check = [&](const FactDB& db, const ModelDb& model) {
+    std::vector<std::pair<sym::SymbolId, std::string>> got, want;
+    for (const auto& [array, facts] : db) got.emplace_back(array, render(facts));
+    for (const auto& [array, facts] : model.facts) want.emplace_back(array, render(facts));
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(db.empty(), model.facts.empty());
+    for (sym::SymbolId key : key_pool) {
+      EXPECT_EQ(db.find(key) != nullptr, model.facts.count(key) > 0) << key;
+    }
+  };
+
+  std::vector<FactDB> dbs(1);
+  std::vector<ModelDb> models(1);
+  for (int step = 0; step < 4000; ++step) {
+    const size_t v = pick(static_cast<uint32_t>(dbs.size()));
+    const sym::SymbolId key = key_pool[pick(static_cast<uint32_t>(key_pool.size()))];
+    const int64_t lo = pick(16), hi = lo + pick(8);
+    FactDB& db = dbs[v];
+    ModelDb& model = models[v];
+    switch (pick(9)) {
+      case 0: {
+        ValueFact f{c(lo), c(hi), sym::Range::of_consts(pick(3), 3)};
+        db.add_value(key, f);
+        model.add_value(key, f);
+        break;
+      }
+      case 1: {
+        StepFact f{c(lo + 1), c(hi + 1), sym::Range::of_consts(pick(2), 2)};
+        db.add_step(key, f);
+        model.add_step(key, f);
+        break;
+      }
+      case 2: {
+        InjectiveFact f{c(lo), c(hi), pick(2) ? std::optional<int64_t>(0) : std::nullopt};
+        f.from_chain = pick(2) == 0;
+        db.add_injective(key, f);
+        model.add_injective(key, f);
+        break;
+      }
+      case 3:
+        db.add_identity(key, IdentityFact{c(lo), c(hi)});
+        model.add_identity(key, IdentityFact{c(lo), c(hi)});
+        break;
+      case 4:
+        db.kill_overlapping(key, c(lo), c(hi), ctx);
+        model.kill_overlapping(key, lo, hi);
+        break;
+      case 5:
+        db.kill_all(key);
+        model.kill_all(key);
+        break;
+      case 6: {
+        ArrayFacts f;
+        if (pick(3)) f.values.push_back(ValueFact{c(lo), c(hi), sym::Range::of_consts(9, 9)});
+        db.restore(key, f);
+        model.restore(key, f);
+        break;
+      }
+      case 7:
+        // Snapshot: a new version sharing everything with version v.
+        if (dbs.size() < 8) {
+          dbs.push_back(dbs[v]);
+          models.push_back(models[v]);
+          for (const auto& [array, facts] : dbs.back()) {
+            EXPECT_EQ(&facts, dbs[v].find(array));
+          }
+        }
+        break;
+      default: {
+        // Overwrite one version with another (copy assignment).
+        const size_t from = pick(static_cast<uint32_t>(dbs.size()));
+        dbs[v] = dbs[from];
+        models[v] = models[from];
+        break;
+      }
+    }
+    // Every version must still match its model, not just the mutated one.
+    for (size_t i = 0; i < dbs.size(); ++i) check(dbs[i], models[i]);
+    if (HasFailure()) FAIL() << "diverged at step " << step;
+  }
 }
 
 // --------------------------------------------------------------------------
